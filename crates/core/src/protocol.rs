@@ -735,8 +735,8 @@ pub(crate) fn metrics_response(m: &ServiceMetrics) -> String {
         out,
         ",\"live\":{{\"appendRows\":{},\"epochBumps\":{},\"ivmHits\":{},\
          \"ivmFallbacks\":{},\"invalidatedViews\":{}}}",
-        m.live.append_rows,
-        m.live.epoch_bumps,
+        m.append_rows,
+        m.epoch_bumps,
         m.live.ivm_hits,
         m.live.ivm_fallbacks,
         m.live.invalidated_views,

@@ -390,6 +390,11 @@ pub struct Pi2Service {
     /// never crosses a global map lock.
     sessions: SessionRegistry,
     sessions_opened: AtomicU64,
+    /// Rows appended and catalogue epochs bumped by this service's
+    /// [`Pi2Service::append`] calls (the `appendRows`/`epochBumps` of
+    /// `/metrics`).
+    append_rows: AtomicU64,
+    epoch_bumps: AtomicU64,
     /// Protocol-v2 shared-session subscriptions (see [`crate::push`]).
     push: PushHub,
     /// Cluster-layer stats provider, installed once by `pi2-cluster` when
@@ -545,8 +550,8 @@ impl Pi2Service {
     }
 
     /// Append rows to a registered workload's live catalogue: advance the
-    /// epoch, fold the append into the catalogue fingerprint, record the
-    /// live counters, and sweep memo entries keyed to the fingerprint the
+    /// epoch, fold the append into the catalogue fingerprint, count it in
+    /// this service's append counters, and sweep memo entries keyed to the fingerprint the
     /// append retired (two epochs old — in-flight dispatches and IVM
     /// prev-state reads get one epoch of grace). Open sessions see the
     /// new rows on their next result fetch; pushing data patches to
@@ -565,8 +570,10 @@ impl Pi2Service {
             .live
             .append(table, rows)
             .map_err(|e| Pi2Error::Append(e.to_string()))?;
+        self.append_rows
+            .fetch_add(receipt.rows as u64, Ordering::Relaxed);
+        self.epoch_bumps.fetch_add(1, Ordering::Relaxed);
         let cache = global_eval_cache();
-        cache.note_append(receipt.rows);
         if let Some(fp) = receipt.evict_fingerprint {
             cache.evict_catalog(fp);
         }
@@ -611,6 +618,8 @@ impl Pi2Service {
             reward_table_entries: reward_entries,
             action_table_entries: action_entries,
             push: self.push.stats(),
+            append_rows: self.append_rows.load(Ordering::Relaxed),
+            epoch_bumps: self.epoch_bumps.load(Ordering::Relaxed),
             live: global_eval_cache().live_stats(),
             cluster: self.cluster_stats(),
         }
@@ -665,7 +674,11 @@ pub struct ServiceMetrics {
     pub action_table_entries: usize,
     /// Shared-session subscription counters (protocol v2 push).
     pub push: PushStats,
-    /// Live-data counters (appends, epoch bumps, IVM hits/fallbacks,
+    /// Rows appended through this service.
+    pub append_rows: u64,
+    /// Catalogue epoch bumps by this service (one per successful append).
+    pub epoch_bumps: u64,
+    /// The shared cache's live-data counters (IVM hits/fallbacks,
     /// invalidated views).
     pub live: LiveStats,
     /// Cluster counters, when this process is part of a fleet.
@@ -783,6 +796,33 @@ mod tests {
                 "identical states must share one executed table"
             );
         }
+    }
+
+    /// Append counters belong to the service that appended: a second
+    /// service in the same process (sharing the process-wide caches) sees
+    /// none of the first one's appends, and a rejected append counts
+    /// nothing.
+    #[test]
+    fn appends_are_counted_per_service() {
+        let (a, b) = (Pi2Service::new(), Pi2Service::new());
+        for service in [&a, &b] {
+            service
+                .register("t", catalog(), &SQLS, &GenerationConfig::quick())
+                .unwrap();
+        }
+        let rows = |n: i64| {
+            let rows = (0..n)
+                .map(|i| vec![Value::Int(i), Value::Int(10)])
+                .collect();
+            Table::from_rows(vec![("a", DataType::Int), ("b", DataType::Int)], rows).unwrap()
+        };
+        a.append("t", "T", rows(5)).unwrap();
+        a.append("t", "T", rows(2)).unwrap();
+        assert!(a.append("t", "missing", rows(1)).is_err());
+        let m = a.metrics();
+        assert_eq!((m.append_rows, m.epoch_bumps), (7, 2));
+        let m = b.metrics();
+        assert_eq!((m.append_rows, m.epoch_bumps), (0, 0));
     }
 
     #[test]

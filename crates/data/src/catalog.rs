@@ -169,10 +169,7 @@ impl Catalog {
             .stats
             .iter()
             .zip(delta_stats.iter())
-            .enumerate()
-            .map(|(i, (base, extra))| {
-                base.merge(extra, meta.table.non_null_count(i), delta.non_null_count(i))
-            })
+            .map(|(base, extra)| base.merge(extra))
             .collect();
         use std::hash::{Hash, Hasher};
         let mut h = std::collections::hash_map::DefaultHasher::new();
@@ -442,6 +439,41 @@ mod tests {
         let p = c.column_stats("T", "p").unwrap();
         assert!(p.unique, "primary key stays unique through the merge");
         assert_eq!(p.distinct_count, 4);
+
+        // Merged stats equal stats computed over the concatenated column:
+        // unique and non-unique sides, repeats across them, NULLs, and
+        // empty bases and deltas.
+        let col = |vals: &[Option<i64>]| {
+            let rows = vals
+                .iter()
+                .map(|v| vec![v.map_or(Value::Null, Value::Int)])
+                .collect();
+            Table::from_rows(vec![("x", DataType::Int)], rows).unwrap()
+        };
+        type Vals<'a> = &'a [Option<i64>];
+        let cases: [(Vals, Vals); 10] = [
+            (&[Some(1), Some(2)], &[Some(3)]),
+            (&[Some(1), Some(2)], &[Some(2)]),
+            (&[Some(1), Some(1)], &[Some(2)]),
+            (&[Some(1)], &[Some(2), Some(2)]),
+            (&[Some(1), None], &[None, Some(2)]),
+            (&[Some(1), None], &[Some(1)]),
+            (&[None], &[None]),
+            (&[], &[Some(1), Some(2)]),
+            (&[Some(1), Some(2)], &[]),
+            (&[], &[]),
+        ];
+        for (base, delta) in cases {
+            let mut c = Catalog::new();
+            c.add_table("u", col(base), vec![]);
+            let c = c.append_rows("u", col(delta)).unwrap();
+            let all: Vec<Option<i64>> = base.iter().chain(delta).copied().collect();
+            assert_eq!(
+                c.column_stats("u", "x").unwrap(),
+                &ColumnStats::compute(&col(&all), 0),
+                "base {base:?} + delta {delta:?}"
+            );
+        }
     }
 
     #[test]

@@ -171,17 +171,13 @@ impl ColumnStats {
     /// Merge the stats of an appended chunk into a base column's stats
     /// incrementally (O(distinct), never O(rows)). Min/max are exact.
     /// When both sides retained their distinct-value lists the merged
-    /// distinct count (and uniqueness, given the non-null totals) stays
-    /// exact; otherwise the distinct count is the lower bound
-    /// `max(base, delta)` and uniqueness degrades to `false` — stats are
-    /// advisory (widget domains, categorical cutoffs), executor
-    /// correctness never depends on them.
-    pub fn merge(
-        &self,
-        delta: &ColumnStats,
-        base_non_null: usize,
-        delta_non_null: usize,
-    ) -> ColumnStats {
+    /// distinct count and uniqueness stay exact — the union is unique
+    /// exactly when both sides are and no value repeats across them;
+    /// otherwise the distinct count is the lower bound `max(base, delta)`
+    /// and uniqueness degrades to `false` — stats are advisory (widget
+    /// domains, categorical cutoffs), executor correctness never depends
+    /// on them.
+    pub fn merge(&self, delta: &ColumnStats) -> ColumnStats {
         fn tighter(a: &Option<Value>, b: &Option<Value>, keep_lt: bool) -> Option<Value> {
             match (a, b) {
                 (Some(x), Some(y)) => Some(if (y < x) == keep_lt {
@@ -202,7 +198,9 @@ impl ColumnStats {
                 union.sort();
                 union.dedup();
                 let distinct_count = union.len();
-                let unique = distinct_count == base_non_null + delta_non_null;
+                let unique = self.unique
+                    && delta.unique
+                    && distinct_count == self.distinct_count + delta.distinct_count;
                 ColumnStats {
                     distinct_count,
                     min,

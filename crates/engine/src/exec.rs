@@ -2,16 +2,21 @@
 //!
 //! Two executors share one semantics:
 //!
-//! * the **vectorized executor** (this module + `crate::vector`) — the
-//!   default. Tables stay columnar end to end: predicates evaluate over
-//!   column slices into selection vectors, grouping hashes key columns
-//!   batch-wise, sort/distinct/limit permute row indices, and joins build
-//!   on key columns. Expressions containing correlated subqueries drop to
-//!   a per-row scalar fallback.
+//! * the **vectorized executor** (this module + `crate::vector`) — the one
+//!   production executor. Tables stay columnar end to end: predicates
+//!   evaluate over column slices into selection vectors, grouping hashes
+//!   key columns batch-wise, sort/distinct/limit permute row indices, and
+//!   joins build on key columns. Expressions containing correlated
+//!   subqueries drop to a per-row scalar fallback. Incremental view
+//!   maintenance (`crate::ivm`) runs its steps too: the WHERE step
+//!   (`apply_filters`), grouping (`build_groups`) and the aggregate
+//!   and projection lanes (`exec_aggregate`, `exec_projection`) over
+//!   an append's delta rows.
 //! * the **scalar interpreter** (`crate::scalar`, via
-//!   [`execute_scalar`]) — the original row-at-a-time tree-walker, kept as
-//!   the reference implementation; the differential property tests pin
-//!   both executors to identical outputs.
+//!   [`execute_scalar`]) — the original row-at-a-time tree-walker, kept
+//!   only as the reference implementation: the differential property
+//!   tests and the IVM tests pin the vectorized executor and IVM to its
+//!   outputs.
 
 use crate::analyze::{analyze_query_cached, default_name};
 use crate::error::EngineError;
@@ -126,24 +131,10 @@ fn execute_vectorized(
     // Equijoins consume the join conjunct and push provably-safe
     // single-side conjuncts below the join; `residual` is what remains of
     // the WHERE clause.
-    let (mut rel, residual) = eval_from_vec(query, ctx, outer)?;
+    let (rel, residual) = eval_from_vec(query, ctx, outer)?;
 
-    // 2. WHERE: predicate → selection vector → compacted relation. Skipped
-    // on zero rows (the scalar interpreter never evaluates it then).
-    if rel.len > 0 {
-        if let Some(pred) = residual.as_deref() {
-            let sel = match crate::par::parallel_truthy(pred, &rel, ctx, outer) {
-                Some(sel) => sel?,
-                None => {
-                    let v = eval_vec(pred, &rel, ctx, outer)?;
-                    truthy_indices(&v, rel.len)
-                }
-            };
-            if sel.len() < rel.len {
-                rel = rel.gather(&sel);
-            }
-        }
-    }
+    // 2. WHERE: predicate → selection vector → compacted relation.
+    let rel = apply_filters(rel, residual.as_deref().as_slice(), ctx, outer)?;
 
     if query.is_aggregate() {
         exec_aggregate(query, &rel, ctx, outer)
@@ -166,7 +157,7 @@ type GroupsAndIds = (Vec<Vec<u32>>, Option<Vec<u32>>);
 /// Group the relation's rows by the GROUP BY key columns (batch-wise
 /// hashing; equality and hashing match `Value` semantics). Groups are in
 /// first-encounter order, like the scalar interpreter's.
-fn build_groups(
+pub(crate) fn build_groups(
     query: &Query,
     rel: &VecRelation,
     ctx: &ExecContext<'_>,
@@ -368,7 +359,7 @@ fn group_by_exact_keys(keycols: &[Arc<ColumnData>], n: usize) -> Option<Vec<Vec<
     Some(groups)
 }
 
-fn exec_aggregate(
+pub(crate) fn exec_aggregate(
     query: &Query,
     rel: &VecRelation,
     ctx: &ExecContext<'_>,
@@ -504,7 +495,7 @@ fn exec_aggregate(
 // Non-aggregate lane: fully columnar projection / distinct / order / limit
 // ---------------------------------------------------------------------------
 
-fn exec_projection(
+pub(crate) fn exec_projection(
     query: &Query,
     rel: &VecRelation,
     ctx: &ExecContext<'_>,
@@ -669,7 +660,7 @@ pub(crate) fn split_conjuncts(e: &Expr) -> Vec<&Expr> {
 }
 
 /// A base-table (or subquery result) as a dense relation.
-fn scan_rel(binding: &str, table: &Table) -> VecRelation {
+pub(crate) fn scan_rel(binding: &str, table: &Table) -> VecRelation {
     let mut cols = Vec::with_capacity(table.num_columns());
     let mut types = Vec::with_capacity(table.num_columns());
     let mut columns = Vec::with_capacity(table.num_columns());
@@ -728,9 +719,11 @@ fn pushdown_side_mask(e: &Expr, resolve: &dyn Fn(Option<&str>, &str) -> Option<u
     }
 }
 
-/// Filter a single-side relation by pushed-down conjuncts, in conjunct
-/// order (selection vectors compose lazily).
-fn apply_side_filter(
+/// Filter a relation by predicates in order (selection vectors compose
+/// lazily): the WHERE step, pushed-down join conjuncts, and IVM's delta
+/// scan. Skipped on zero rows (the scalar interpreter never evaluates a
+/// predicate then).
+pub(crate) fn apply_filters(
     mut rel: VecRelation,
     conjuncts: &[&Expr],
     ctx: &ExecContext<'_>,
@@ -818,13 +811,13 @@ fn eval_from_vec<'q>(
             }
             let (right_binding, right_table) = parts.pop().unwrap();
             let (left_binding, left_table) = parts.pop().unwrap();
-            let left_rel = apply_side_filter(
+            let left_rel = apply_filters(
                 scan_rel(&left_binding, left_table.as_ref()),
                 &left_push,
                 ctx,
                 outer,
             )?;
-            let right_rel = apply_side_filter(
+            let right_rel = apply_filters(
                 scan_rel(&right_binding, right_table.as_ref()),
                 &right_push,
                 ctx,

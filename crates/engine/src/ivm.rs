@@ -1,38 +1,53 @@
 //! Incremental view maintenance (IVM) over append-only catalogues.
 //!
 //! When a catalogue version is produced by [`pi2_data::Catalog::append_rows`],
-//! a cached query result can often be brought up to date by executing only
-//! the appended rows and merging, instead of rescanning the whole table.
-//! This module implements that for the two shapes that dominate generated
+//! a cached query result can often be brought up to date by running only
+//! the appended rows, instead of rescanning the whole table. IVM does that
+//! with the vectorized executor's own steps — there is no second
+//! aggregate engine here — for the two shapes that dominate generated
 //! interfaces:
 //!
 //! - **Aggregates** (`GROUP BY` + `count/sum/count(*)/avg/min/max`, with
-//!   `WHERE`/`HAVING`/`ORDER BY`/`LIMIT`/`DISTINCT`): per-group accumulators
-//!   absorb the delta rows; `avg` merges via sum + count.
+//!   `WHERE`/`HAVING`/`ORDER BY`/`LIMIT`/`DISTINCT`). An absorb scans just
+//!   the delta through the executor's WHERE, grouping and dense argument
+//!   evaluation, then folds each delta group's rows onto that group's
+//!   running accumulators in row order. The accumulator is the one behind
+//!   the executor's own generic aggregate fold, so float sums stay
+//!   bit-identical to one fold over the appended table (merging partial
+//!   sums would not be). Finalizing runs the executor's aggregate lane —
+//!   HAVING, SELECT, ORDER BY, DISTINCT, LIMIT and the output schema —
+//!   over one representative row per group, whose aggregate calls read the
+//!   running values from columns the relation carries beside it.
 //! - **Projections** (`SELECT …  WHERE …` with no `DISTINCT`/`ORDER BY`/
-//!   `LIMIT`): the filter is row-local, so the delta's output rows append to
-//!   the cached output (zero-copy, via [`Table::append_table`]).
+//!   `LIMIT`): the filter is row-local, so the executor's projection of the
+//!   delta appends to the cached output (zero-copy, via
+//!   [`Table::append_table`]).
 //!
 //! Everything else — joins, subqueries, `DISTINCT` projections — reports
 //! unsupported and the caller falls back to full re-execution.
 //!
-//! **The contract is byte-identity with the scalar reference executor**: for
-//! a supported query, `build` + any sequence of `absorb`s + `finalize`
-//! produces exactly the table `execute_scalar` produces over the fully
-//! appended catalogue — same rows, same order, same cell values (float
-//! accumulators fold in row order so even sums match bit-for-bit). The
-//! differential tests below pin this; anything that errs mid-absorb simply
-//! falls back, so an IVM bug can degrade performance but never results.
+//! **The contract is identity with full execution**: for a supported query,
+//! `build` + any sequence of `absorb`s + `finalize` produces the table
+//! [`execute_scalar`](crate::execute_scalar) (the row interpreter) produces
+//! over the fully appended catalogue — same schema, rows, order and cell
+//! values — in the wire bytes [`execute`](crate::execute) produces. The
+//! `pin_ivm` cases below, the IVM tests of the interface crate's result
+//! cache, and the IVM proptest and log sweep in
+//! `crates/workloads/tests/proptest_live.rs` pin this. Anything that errs
+//! mid-absorb simply falls back, so an IVM bug can degrade performance but
+//! never results.
 
 use crate::analyze::analyze_query_cached;
 use crate::error::EngineError;
-use crate::eval::{
-    apply_binary, apply_scalar_function, apply_unary, eval_between, eval_expr, eval_logical, Scope,
+use crate::exec::{
+    apply_filters, build_groups, exec_aggregate, exec_projection, scan_rel, ExecContext,
 };
-use crate::exec::{coerce_row, derive_schema, execute_scalar, ExecContext};
+use crate::vector::{eval_vec, Acc, LazyCol, VecRelation, MAINTAINED};
+use pi2_data::column::ColumnData;
 use pi2_data::{DataType, Table, Value};
-use pi2_sql::ast::{is_aggregate_function, BinOp, Expr, Query, SelectItem, TableRef};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use pi2_sql::ast::{is_aggregate_function, Expr, Query, SelectItem, TableRef};
+use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// Every base table the query reads, lowercased — including tables named
 /// inside subqueries at any depth. A cached result for `query` stays valid
@@ -153,168 +168,28 @@ pub fn supported(query: &Query, catalog: &pi2_data::Catalog) -> bool {
     ivm_table(query).is_some() && analyze_query_cached(query, catalog).is_ok()
 }
 
-/// Which aggregate an accumulator implements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum AggKind {
-    CountStar,
-    Count,
-    Sum,
-    Avg,
-    Min,
-    Max,
+/// One maintained aggregate call: its SQL text (the key of its maintained
+/// column), function name and arguments.
+struct MaintainedCall<'q> {
+    key: String,
+    name: &'q str,
+    args: &'q [Expr],
 }
 
-/// One aggregate call site in the query, in fixed traversal order.
-struct AggSite<'q> {
-    kind: AggKind,
-    arg: Option<&'q Expr>,
-}
-
-/// Per-site accumulator state. Folding mirrors `eval_aggregate` in
-/// `crate::eval` exactly: NULL arguments are skipped everywhere, `sum`/`avg`
-/// accumulate `as_f64` values in row order onto a running total (so float
-/// results are bit-identical to the reference's left-fold), `min` keeps the
-/// first minimal value and `max` the last maximal one (matching
-/// `Iterator::min`/`max` tie-breaking), and `avg` divides by the non-null
-/// count — `avg` over appends is exactly sum + count.
-#[derive(Debug, Clone)]
-enum Acc {
-    CountStar(i64),
-    Count(i64),
-    SumAvg {
-        total: f64,
-        n: i64,
-        all_int: bool,
-        avg: bool,
-    },
-    Min(Option<Value>),
-    Max(Option<Value>),
-}
-
-impl Acc {
-    fn fresh(kind: AggKind) -> Acc {
-        match kind {
-            AggKind::CountStar => Acc::CountStar(0),
-            AggKind::Count => Acc::Count(0),
-            AggKind::Sum | AggKind::Avg => Acc::SumAvg {
-                total: 0.0,
-                n: 0,
-                all_int: true,
-                avg: kind == AggKind::Avg,
-            },
-            AggKind::Min => Acc::Min(None),
-            AggKind::Max => Acc::Max(None),
-        }
-    }
-
-    fn fold(
-        &mut self,
-        site: &AggSite<'_>,
-        scope: &Scope<'_>,
-        ctx: &ExecContext<'_>,
-    ) -> Result<(), EngineError> {
-        if let Acc::CountStar(n) = self {
-            *n += 1;
-            return Ok(());
-        }
-        let arg = site
-            .arg
-            .ok_or_else(|| EngineError::BadFunction("aggregate needs an argument".to_string()))?;
-        let v = eval_expr(arg, scope, ctx)?;
-        if v.is_null() {
-            return Ok(());
-        }
-        match self {
-            Acc::CountStar(_) => unreachable!("handled above"),
-            Acc::Count(n) => *n += 1,
-            Acc::SumAvg {
-                total, n, all_int, ..
-            } => {
-                *all_int &= matches!(v, Value::Int(_));
-                if let Some(f) = v.as_f64() {
-                    *total += f;
-                }
-                *n += 1;
-            }
-            Acc::Min(cur) => match cur {
-                Some(m) if v.cmp(m).is_lt() => *cur = Some(v),
-                None => *cur = Some(v),
-                _ => {}
-            },
-            Acc::Max(cur) => match cur {
-                Some(m) if v.cmp(m).is_ge() => *cur = Some(v),
-                None => *cur = Some(v),
-                _ => {}
-            },
-        }
-        Ok(())
-    }
-
-    fn value(&self) -> Value {
-        match self {
-            Acc::CountStar(n) | Acc::Count(n) => Value::Int(*n),
-            Acc::SumAvg { n: 0, .. } => Value::Null,
-            Acc::SumAvg {
-                total,
-                n,
-                avg: true,
-                ..
-            } => Value::Float(*total / *n as f64),
-            Acc::SumAvg {
-                total,
-                all_int,
-                avg: false,
-                ..
-            } => {
-                if *all_int {
-                    Value::Int(*total as i64)
-                } else {
-                    Value::Float(*total)
-                }
-            }
-            Acc::Min(v) | Acc::Max(v) => v.clone().unwrap_or(Value::Null),
-        }
-    }
-}
-
-/// All aggregate sites of the query plus, per clause, the index of its
-/// first site — so finalize-time substitution can start its cursor at the
-/// right offset regardless of clause evaluation order.
-struct SitePlan<'q> {
-    sites: Vec<AggSite<'q>>,
-    select_offsets: Vec<usize>,
-    having_offset: usize,
-    order_offsets: Vec<usize>,
-}
-
-/// Collect aggregate sites in the exact positions `eval_grouped` treats as
-/// aggregates: it recurses through unary/binary/BETWEEN operators and
-/// non-aggregate function arguments, and stops at every other node (those
-/// evaluate against the representative row). Sites hidden under stop nodes
-/// are never collected — the reference evaluator errors on them, and so
-/// does finalize, by taking the same `eval_expr` path.
-fn site_plan(query: &Query) -> SitePlan<'_> {
-    fn walk<'q>(e: &'q Expr, out: &mut Vec<AggSite<'q>>) {
+/// The aggregate calls IVM maintains: every call in a position where
+/// [`eval_grouped_vec`](crate::vector::eval_grouped_vec) aggregates —
+/// reached through unary/binary/BETWEEN operators and non-aggregate
+/// function arguments from the select list, HAVING and ORDER BY — once per
+/// distinct SQL text, which is the key its maintained column is read back
+/// by. Calls under any other node are evaluated against the
+/// representative row and fail exactly as in full execution.
+fn maintained_calls(query: &Query) -> Vec<MaintainedCall<'_>> {
+    fn walk<'q>(e: &'q Expr, out: &mut Vec<MaintainedCall<'q>>) {
         match e {
             Expr::Func { name, args } if is_aggregate_function(name) => {
-                let lname = name.to_ascii_lowercase();
-                if lname == "count" && matches!(args.first(), Some(Expr::Star) | None) {
-                    out.push(AggSite {
-                        kind: AggKind::CountStar,
-                        arg: None,
-                    });
-                } else {
-                    let kind = match lname.as_str() {
-                        "count" => AggKind::Count,
-                        "sum" => AggKind::Sum,
-                        "avg" => AggKind::Avg,
-                        "min" => AggKind::Min,
-                        _ => AggKind::Max,
-                    };
-                    out.push(AggSite {
-                        kind,
-                        arg: args.first(),
-                    });
+                let key = e.to_string();
+                if out.iter().all(|c| c.key != key) {
+                    out.push(MaintainedCall { key, name, args });
                 }
             }
             Expr::Unary { expr, .. } => walk(expr, out),
@@ -333,291 +208,147 @@ fn site_plan(query: &Query) -> SitePlan<'_> {
             _ => {}
         }
     }
-    let mut sites = Vec::new();
-    let mut select_offsets = Vec::with_capacity(query.select.len());
-    for item in &query.select {
-        select_offsets.push(sites.len());
-        if let SelectItem::Expr { expr, .. } = item {
-            walk(expr, &mut sites);
-        }
+    let mut out = Vec::new();
+    let exprs = query
+        .select
+        .iter()
+        .filter_map(|item| match item {
+            SelectItem::Expr { expr, .. } => Some(expr),
+            SelectItem::Star => None,
+        })
+        .chain(query.having.iter())
+        .chain(query.order_by.iter().map(|o| &o.expr));
+    for e in exprs {
+        walk(e, &mut out);
     }
-    let having_offset = sites.len();
-    if let Some(h) = &query.having {
-        walk(h, &mut sites);
-    }
-    let mut order_offsets = Vec::with_capacity(query.order_by.len());
-    for o in &query.order_by {
-        order_offsets.push(sites.len());
-        walk(&o.expr, &mut sites);
-    }
-    SitePlan {
-        sites,
-        select_offsets,
-        having_offset,
-        order_offsets,
+    out
+}
+
+/// The query's single scanned table and the binding its columns go by
+/// (alias, else table name — as `execute` binds them).
+fn scanned(query: &Query) -> Result<(&str, &str), EngineError> {
+    match query.from.as_slice() {
+        [TableRef::Table { name, alias }] => Ok((name, alias.as_deref().unwrap_or(name))),
+        _ => Err(EngineError::Unsupported("IVM needs a single table".into())),
     }
 }
 
-/// Number of aggregate sites inside `e` (for advancing the substitution
-/// cursor past a short-circuited subtree).
-fn count_sites(e: &Expr) -> usize {
-    let mut v = Vec::new();
-    fn collect<'q>(e: &'q Expr, out: &mut Vec<AggSite<'q>>) {
-        match e {
-            Expr::Func { name, .. } if is_aggregate_function(name) => out.push(AggSite {
-                kind: AggKind::CountStar,
-                arg: None,
-            }),
-            Expr::Unary { expr, .. } => collect(expr, out),
-            Expr::Binary { left, right, .. } => {
-                collect(left, out);
-                collect(right, out);
-            }
-            Expr::Between {
-                expr, low, high, ..
-            } => {
-                collect(expr, out);
-                collect(low, out);
-                collect(high, out);
-            }
-            Expr::Func { args, .. } => args.iter().for_each(|a| collect(a, out)),
-            _ => {}
-        }
-    }
-    collect(e, &mut v);
-    v.len()
-}
-
-/// `eval_grouped` with accumulator substitution: aggregate sites yield their
-/// accumulated value (advancing `cursor` in traversal order — including past
-/// subtrees skipped by logical short-circuit), everything else mirrors the
-/// reference evaluator against the group's representative row.
-fn eval_ivm(
-    e: &Expr,
-    vals: &[Value],
-    cursor: &mut usize,
-    repr: &Scope<'_>,
+/// `execute`'s first two steps over `rows` alone: scan them as the
+/// query's FROM table and apply its WHERE clause.
+fn scan_where(
+    query: &Query,
+    rows: &Table,
     ctx: &ExecContext<'_>,
-) -> Result<Value, EngineError> {
-    match e {
-        Expr::Func { name, .. } if is_aggregate_function(name) => {
-            let v = vals[*cursor].clone();
-            *cursor += 1;
-            Ok(v)
-        }
-        Expr::Unary { op, expr } => {
-            let v = eval_ivm(expr, vals, cursor, repr, ctx)?;
-            apply_unary(*op, v)
-        }
-        Expr::Binary { left, op, right } => {
-            if *op == BinOp::And || *op == BinOp::Or {
-                let l = eval_ivm(left, vals, cursor, repr, ctx)?;
-                let lb = if l.is_null() { None } else { l.as_bool() };
-                // Mirror the reference's short-circuit, keeping the cursor
-                // in sync with collection order by skipping the subtree.
-                if (*op == BinOp::And && lb == Some(false))
-                    || (*op == BinOp::Or && lb == Some(true))
-                {
-                    *cursor += count_sites(right);
-                    return Ok(Value::Bool(*op == BinOp::Or));
-                }
-                return eval_logical(*op, l, || eval_ivm(right, vals, cursor, repr, ctx));
-            }
-            let l = eval_ivm(left, vals, cursor, repr, ctx)?;
-            let r = eval_ivm(right, vals, cursor, repr, ctx)?;
-            apply_binary(*op, l, r)
-        }
-        Expr::Between {
-            expr,
-            negated,
-            low,
-            high,
-        } => {
-            let v = eval_ivm(expr, vals, cursor, repr, ctx)?;
-            let lo = eval_ivm(low, vals, cursor, repr, ctx)?;
-            let hi = eval_ivm(high, vals, cursor, repr, ctx)?;
-            eval_between(&v, &lo, &hi, *negated)
-        }
-        Expr::Func { name, args } => {
-            let vs = args
-                .iter()
-                .map(|a| eval_ivm(a, vals, cursor, repr, ctx))
-                .collect::<Result<Vec<_>, _>>()?;
-            apply_scalar_function(name, &vs, ctx)
-        }
-        other => eval_expr(other, repr, ctx),
-    }
+) -> Result<VecRelation, EngineError> {
+    let (_, binding) = scanned(query)?;
+    apply_filters(
+        scan_rel(binding, rows),
+        query.where_clause.as_ref().as_slice(),
+        ctx,
+        None,
+    )
 }
 
-/// One group's maintained state: its representative row (the first member
-/// encountered, exactly like the reference's group build) and one
-/// accumulator per aggregate site.
-#[derive(Debug, Clone)]
-struct Group {
-    repr: Vec<Value>,
-    accs: Vec<Acc>,
-}
-
-/// Maintained state for an aggregate-shaped query.
-#[derive(Debug, Clone)]
+/// Maintained state for an aggregate-shaped query: per group, in
+/// first-encounter order, its representative row (its first row, as the
+/// executor picks it) and one running accumulator per maintained
+/// aggregate call.
+#[derive(Debug, Clone, Default)]
 pub struct AggState {
-    /// `(binding, column)` pairs of the scanned table, as `eval_from` tags
-    /// them (alias or table name).
-    cols: Vec<(String, String)>,
-    types: Vec<DataType>,
     index: HashMap<Vec<Value>, usize>,
-    groups: Vec<Group>,
+    reprs: Vec<Vec<Value>>,
+    accs: Vec<Vec<Acc>>,
 }
 
 impl AggState {
-    fn new(query: &Query, ctx: &ExecContext<'_>) -> Result<AggState, EngineError> {
-        let [TableRef::Table { name, alias }] = query.from.as_slice() else {
-            return Err(EngineError::Unsupported("IVM needs a single table".into()));
-        };
-        let meta = ctx.catalog.require_table(name)?;
-        let binding = alias.clone().unwrap_or_else(|| name.clone());
-        let cols = meta
-            .table
-            .schema
-            .columns
-            .iter()
-            .map(|c| (binding.clone(), c.name.clone()))
-            .collect();
-        let types = meta.table.schema.columns.iter().map(|c| c.dtype).collect();
-        Ok(AggState {
-            cols,
-            types,
-            index: HashMap::new(),
-            groups: Vec::new(),
-        })
-    }
-
+    /// Fold `rows` in: the executor's own WHERE, grouping and dense
+    /// argument evaluation over just these rows, then each group's rows
+    /// fold onto its accumulators in row order (a new key opens a group).
     fn absorb(
         &mut self,
         query: &Query,
         rows: &Table,
         ctx: &ExecContext<'_>,
     ) -> Result<(), EngineError> {
-        let plan = site_plan(query);
-        for i in 0..rows.num_rows() {
-            let row = rows.row(i);
-            let scope = Scope {
-                cols: &self.cols,
-                row: &row,
-                parent: None,
-            };
-            if let Some(pred) = &query.where_clause {
-                if eval_expr(pred, &scope, ctx)?.as_bool() != Some(true) {
-                    continue;
-                }
-            }
-            let key: Vec<Value> = query
-                .group_by
-                .iter()
-                .map(|g| eval_expr(g, &scope, ctx))
-                .collect::<Result<_, _>>()?;
-            let gi = match self.index.get(&key) {
-                Some(&gi) => gi,
+        let rel = scan_where(query, rows, ctx)?;
+        if rel.len == 0 {
+            return Ok(());
+        }
+        let (groups, _) = build_groups(query, &rel, ctx, None)?;
+        let keys: Vec<Arc<ColumnData>> = query
+            .group_by
+            .iter()
+            .map(|g| Ok(eval_vec(g, &rel, ctx, None)?.into_column(rel.len)))
+            .collect::<Result<_, EngineError>>()?;
+        let calls = maintained_calls(query);
+        let mut fresh = Vec::with_capacity(calls.len());
+        let mut args: Vec<Option<Arc<ColumnData>>> = Vec::with_capacity(calls.len());
+        for call in &calls {
+            let lname = call.name.to_ascii_lowercase();
+            fresh.push(Acc::new(&lname, call.name)?);
+            args.push(match call.args.first() {
+                Some(Expr::Star) | None if lname == "count" => None,
+                Some(arg) => Some(eval_vec(arg, &rel, ctx, None)?.into_column(rel.len)),
                 None => {
-                    self.index.insert(key, self.groups.len());
-                    self.groups.push(Group {
-                        repr: row.clone(),
-                        accs: plan.sites.iter().map(|s| Acc::fresh(s.kind)).collect(),
-                    });
-                    self.groups.len() - 1
+                    return Err(EngineError::BadFunction(format!(
+                        "{} needs an argument",
+                        call.name
+                    )))
                 }
-            };
-            let group = &mut self.groups[gi];
-            for (site, acc) in plan.sites.iter().zip(group.accs.iter_mut()) {
-                acc.fold(site, &scope, ctx)?;
+            });
+        }
+        for idx in &groups {
+            let first = idx[0] as usize;
+            let key: Vec<Value> = keys.iter().map(|k| k.value(first)).collect();
+            let g = *self.index.entry(key).or_insert_with(|| {
+                self.reprs.push(rel.row(first));
+                self.accs.push(fresh.clone());
+                self.reprs.len() - 1
+            });
+            for (acc, arg) in self.accs[g].iter_mut().zip(&args) {
+                acc.fold(arg.as_deref(), idx);
             }
         }
         Ok(())
     }
 
+    /// The result: `execute`'s aggregate lane (grouping, HAVING, SELECT,
+    /// ORDER BY, DISTINCT, LIMIT, output schema) over a relation of one
+    /// representative row per group, plus one column per maintained call
+    /// holding its running values, which the lane's aggregate node reads
+    /// in place of aggregating (see [`VecRelation::maintained`]). With no
+    /// groups yet, the lane runs over an empty scan instead, exactly as
+    /// full execution over zero qualifying rows does.
     fn finalize(&self, query: &Query, ctx: &ExecContext<'_>) -> Result<Table, EngineError> {
-        let plan = site_plan(query);
-        // The implicit single group: no GROUP BY and zero input rows still
-        // aggregates (count(*) = 0, sum = NULL).
-        let synthesized;
-        let groups: &[Group] = if query.group_by.is_empty() && self.groups.is_empty() {
-            synthesized = [Group {
-                repr: Vec::new(),
-                accs: plan.sites.iter().map(|s| Acc::fresh(s.kind)).collect(),
-            }];
-            &synthesized
-        } else {
-            &self.groups
-        };
-        let mut out_rows: Vec<(Vec<Value>, Vec<Value>)> = Vec::new();
-        for group in groups {
-            let vals: Vec<Value> = group.accs.iter().map(Acc::value).collect();
-            let repr = Scope {
-                cols: &self.cols,
-                row: &group.repr,
-                parent: None,
+        let (name, binding) = scanned(query)?;
+        let schema = &ctx.catalog.require_table(name)?.table.schema;
+        let mut rel = scan_rel(binding, &Table::new(schema.clone()));
+        if !self.reprs.is_empty() {
+            let mut cols = (*rel.cols).clone();
+            let mut types = (*rel.types).clone();
+            let mut columns = Vec::new();
+            for (i, c) in schema.columns.iter().enumerate() {
+                let vals = self.reprs.iter().map(|r| r[i].clone()).collect();
+                columns.push(ColumnData::from_values(vals, Some(c.dtype)));
+            }
+            for (k, call) in maintained_calls(query).into_iter().enumerate() {
+                let vals = self.accs.iter().map(|a| a[k].value()).collect();
+                let col = ColumnData::from_values(vals, None);
+                cols.push((MAINTAINED.to_string(), call.key));
+                types.push(col.dtype().unwrap_or(DataType::Str));
+                columns.push(col);
+            }
+            rel = VecRelation {
+                cols: Arc::new(cols),
+                types: Arc::new(types),
+                columns: columns
+                    .into_iter()
+                    .map(|c| LazyCol::dense(Arc::new(c)))
+                    .collect(),
+                len: self.reprs.len(),
             };
-            if let Some(h) = &query.having {
-                let mut cursor = plan.having_offset;
-                if eval_ivm(h, &vals, &mut cursor, &repr, ctx)?.as_bool() != Some(true) {
-                    continue;
-                }
-            }
-            let mut out = Vec::with_capacity(query.select.len());
-            for (item, off) in query.select.iter().zip(&plan.select_offsets) {
-                match item {
-                    SelectItem::Star => {
-                        return Err(EngineError::Unsupported("SELECT * with GROUP BY".into()))
-                    }
-                    SelectItem::Expr { expr, .. } => {
-                        let mut cursor = *off;
-                        out.push(eval_ivm(expr, &vals, &mut cursor, &repr, ctx)?);
-                    }
-                }
-            }
-            let keys = query
-                .order_by
-                .iter()
-                .zip(&plan.order_offsets)
-                .map(|(o, off)| {
-                    let mut cursor = *off;
-                    eval_ivm(&o.expr, &vals, &mut cursor, &repr, ctx)
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            out_rows.push((out, keys));
         }
-        if query.distinct {
-            let mut seen = HashSet::new();
-            out_rows.retain(|(row, _)| seen.insert(row.clone()));
-        }
-        if !query.order_by.is_empty() {
-            let descs: Vec<bool> = query.order_by.iter().map(|o| o.desc).collect();
-            out_rows.sort_by(|(_, ka), (_, kb)| {
-                for (i, (a, b)) in ka.iter().zip(kb.iter()).enumerate() {
-                    let ord = a.cmp(b);
-                    let ord = if descs[i] { ord.reverse() } else { ord };
-                    if ord != std::cmp::Ordering::Equal {
-                        return ord;
-                    }
-                }
-                std::cmp::Ordering::Equal
-            });
-        }
-        if let Some(l) = query.limit {
-            out_rows.truncate(l as usize);
-        }
-        let schema = derive_schema(
-            query,
-            ctx,
-            &self.cols,
-            &self.types,
-            out_rows.first().map(|(r, _)| r.as_slice()),
-        );
-        let mut table = Table::new(schema);
-        for (row, _) in out_rows {
-            table.push_row(coerce_row(row, &table.schema))?;
-        }
-        Ok(table)
+        exec_aggregate(query, &rel, ctx, None)
     }
 }
 
@@ -629,40 +360,9 @@ pub struct ProjState {
     table: Table,
 }
 
-impl ProjState {
-    fn absorb(
-        &mut self,
-        query: &Query,
-        name: &str,
-        rows: &Table,
-        ctx: &ExecContext<'_>,
-    ) -> Result<(), EngineError> {
-        // Execute the query over a catalogue where the scanned table holds
-        // only the delta rows. Registration is keyed by the same name, so
-        // analysis resolves identically; column types are unchanged, so the
-        // statically derived output schema matches the cached one.
-        let meta = ctx.catalog.require_table(name)?;
-        let registered = meta.name.clone();
-        let pk: Vec<String> = meta.primary_key.clone();
-        let mut delta_catalog = ctx.catalog.clone();
-        delta_catalog.add_table(
-            registered,
-            rows.clone(),
-            pk.iter().map(String::as_str).collect(),
-        );
-        let delta_ctx = ExecContext {
-            catalog: &delta_catalog,
-            ..*ctx
-        };
-        let out = execute_scalar(query, &delta_ctx)?;
-        if out.schema != self.table.schema {
-            return Err(EngineError::Unsupported(
-                "IVM projection schema drifted".into(),
-            ));
-        }
-        self.table = self.table.append_table(&out, pi2_data::chunk_rows())?;
-        Ok(())
-    }
+/// `execute`'s projection over `rows` alone (see [`scan_where`]).
+fn project(query: &Query, rows: &Table, ctx: &ExecContext<'_>) -> Result<Table, EngineError> {
+    exec_projection(query, &scan_where(query, rows, ctx)?, ctx, None)
 }
 
 /// Maintained state for one supported query: build once, absorb each
@@ -676,27 +376,27 @@ pub enum IvmState {
 }
 
 impl IvmState {
-    /// Build the state from the catalogue's current table contents. The
-    /// query must satisfy [`supported`].
+    /// Build the state from the catalogue's current table contents — the
+    /// same absorb as an append's, over the whole table. The query must
+    /// satisfy [`supported`].
     pub fn build(query: &Query, ctx: &ExecContext<'_>) -> Result<IvmState, EngineError> {
+        let (name, _) = scanned(query)?;
+        let table = &ctx.catalog.require_table(name)?.table;
         if query.is_aggregate() {
-            let name = ivm_table(query)
-                .ok_or_else(|| EngineError::Unsupported("query shape not IVM-able".into()))?;
-            let mut state = AggState::new(query, ctx)?;
-            let table = ctx.catalog.require_table(&name)?.table.clone();
-            state.absorb(query, &table, ctx)?;
+            let mut state = AggState::default();
+            state.absorb(query, table, ctx)?;
             Ok(IvmState::Aggregate(state))
         } else {
             Ok(IvmState::Projection(ProjState {
-                table: execute_scalar(query, ctx)?,
+                table: project(query, table, ctx)?,
             }))
         }
     }
 
-    /// Fold one append's rows (of table `name`, already lowercased) into the
-    /// state. `ctx.catalog` must be the *post-append* catalogue. On error the
-    /// state may be partially updated — clone before absorbing and discard
-    /// the clone to fall back.
+    /// Fold one append's rows (of table `name`, the query's own, already
+    /// lowercased) into the state. `ctx.catalog` must be the *post-append*
+    /// catalogue. On error the state may be partially updated — clone
+    /// before absorbing and discard the clone to fall back.
     pub fn absorb(
         &mut self,
         query: &Query,
@@ -704,14 +404,19 @@ impl IvmState {
         rows: &Table,
         ctx: &ExecContext<'_>,
     ) -> Result<(), EngineError> {
+        debug_assert_eq!(ivm_table(query).as_deref(), Some(name));
         match self {
             IvmState::Aggregate(state) => state.absorb(query, rows, ctx),
-            IvmState::Projection(state) => state.absorb(query, name, rows, ctx),
+            IvmState::Projection(state) => {
+                let out = project(query, rows, ctx)?;
+                state.table = state.table.append_table(&out, pi2_data::chunk_rows())?;
+                Ok(())
+            }
         }
     }
 
-    /// Materialize the maintained result (byte-identical to full scalar
-    /// execution over `ctx.catalog`).
+    /// Materialize the maintained result (byte-identical to full execution
+    /// over `ctx.catalog`).
     pub fn finalize(&self, query: &Query, ctx: &ExecContext<'_>) -> Result<Table, EngineError> {
         match self {
             IvmState::Aggregate(state) => state.finalize(query, ctx),
@@ -723,6 +428,7 @@ impl IvmState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::execute_scalar;
     use pi2_data::wire::table_to_json;
     use pi2_data::{Catalog, Value};
     use pi2_sql::parse_query;
@@ -781,7 +487,7 @@ mod tests {
         let c0 = base_catalog();
         let query = parse_query(sql).unwrap();
         assert!(supported(&query, &c0), "query must be IVM-supported: {sql}");
-        let ctx0 = ExecContext::scalar(&c0);
+        let ctx0 = ExecContext::new(&c0);
         let mut state = IvmState::build(&query, &ctx0).unwrap();
         let d1 = delta_rows(vec![
             vec![
@@ -798,7 +504,7 @@ mod tests {
             ],
         ]);
         let c1 = c0.append_rows("sales", d1.clone()).unwrap();
-        let ctx1 = ExecContext::scalar(&c1);
+        let ctx1 = ExecContext::new(&c1);
         state.absorb(&query, "sales", &d1, &ctx1).unwrap();
         let d2 = delta_rows(vec![vec![
             Value::Int(6),
@@ -807,7 +513,7 @@ mod tests {
             Value::Int(9),
         ]]);
         let c2 = c1.append_rows("sales", d2.clone()).unwrap();
-        let ctx2 = ExecContext::scalar(&c2);
+        let ctx2 = ExecContext::new(&c2);
         state.absorb(&query, "sales", &d2, &ctx2).unwrap();
         let ivm = state.finalize(&query, &ctx2).unwrap();
         let full = execute_scalar(&query, &ctx2).unwrap();
@@ -839,6 +545,27 @@ mod tests {
     #[test]
     fn expression_over_aggregates_matches() {
         pin_ivm("SELECT region, sum(amount) / count(*) FROM sales GROUP BY region");
+    }
+
+    /// Aggregates on both sides of AND/OR (and under NOT), in HAVING and
+    /// SELECT: the left side short-circuits for some groups and not for
+    /// others, and every group's right-side aggregates must still be its
+    /// own.
+    #[test]
+    fn logical_operators_over_aggregates_match() {
+        pin_ivm(
+            "SELECT region, count(*) > 2 AND sum(amount) > 10.0, \
+             min(qty) < 2 OR max(qty) > 8 FROM sales GROUP BY region \
+             HAVING count(*) > 2 OR max(qty) > 8",
+        );
+        pin_ivm(
+            "SELECT region, sum(qty) FROM sales GROUP BY region \
+             HAVING count(*) >= 2 AND NOT (min(qty) > 3 OR sum(amount) < 1.0)",
+        );
+        pin_ivm(
+            "SELECT count(*) > 100 AND avg(amount) > 0.0, \
+             NOT (count(*) > 1) OR max(id) > 5 FROM sales",
+        );
     }
 
     #[test]

@@ -168,6 +168,12 @@ impl ComposeMemo {
     }
 }
 
+/// The binding of a maintained-aggregate column (see
+/// [`VecRelation::maintained`]). Its brackets lie outside Latin-1, and the
+/// SQL lexer's identifiers are ASCII (unquoted) or one Latin-1 char per
+/// byte (quoted), so no parsed query can bind this name.
+pub(crate) const MAINTAINED: &str = "\u{27e8}maintained\u{27e9}";
+
 /// A relation during vectorized execution: tagged, typed, `Arc`-shared
 /// columns (scans of base tables are zero-copy) behind lazy selection
 /// vectors (filters/joins defer their gathers until a column is read).
@@ -192,6 +198,20 @@ impl VecRelation {
         self.cols.iter().position(|(b, c)| {
             c.eq_ignore_ascii_case(name) && table.is_none_or(|t| b.eq_ignore_ascii_case(t))
         })
+    }
+
+    /// The column carrying aggregate call `agg`'s maintained per-group
+    /// value, if any: incremental view maintenance tags such columns with
+    /// the [`MAINTAINED`] binding and the call's SQL text (see
+    /// `crate::ivm`). Ordinary relations carry none.
+    pub fn maintained(&self, agg: &Expr) -> Option<usize> {
+        if !self.cols.iter().any(|(b, _)| b == MAINTAINED) {
+            return None;
+        }
+        let key = agg.to_string();
+        self.cols
+            .iter()
+            .position(|(b, c)| b == MAINTAINED && *c == key)
     }
 
     /// The materialized column at `i` (runs the pending gather on first
@@ -1213,9 +1233,13 @@ pub(crate) fn eval_grouped_vec(
         return Ok(Vec::new());
     }
     match expr {
-        Expr::Func { name, args } if is_aggregate_function(name) => {
-            eval_aggregate_vec(name, args, rel, groups, gid, ctx, outer)
-        }
+        Expr::Func { name, args } if is_aggregate_function(name) => match rel.maintained(expr) {
+            // Incremental view maintenance finalizes over one row per group
+            // that carries each aggregate's running value (see
+            // `crate::ivm`); groups are never empty there.
+            Some(ci) => Ok(groups.iter().map(|g| rel.cell(ci, g[0] as usize)).collect()),
+            None => eval_aggregate_vec(name, args, rel, groups, gid, ctx, outer),
+        },
         Expr::Unary { op, expr: inner } => {
             let vals = eval_grouped_vec(inner, rel, groups, gid, ctx, outer)?;
             vals.into_iter().map(|v| apply_unary(*op, v)).collect()
@@ -1487,67 +1511,136 @@ pub(crate) fn aggregate_over(
     if let Some(v) = aggregate_over_typed(lname, col, idx) {
         return Ok(v);
     }
-    match lname {
-        "count" => Ok(Value::Int(
-            idx.iter().filter(|&&i| !col.is_null(i as usize)).count() as i64,
-        )),
-        "min" | "max" => {
-            let want_min = lname == "min";
-            let mut best: Option<u32> = None;
-            for &i in idx {
-                if col.is_null(i as usize) {
-                    continue;
+    let mut acc = Acc::new(lname, name)?;
+    acc.fold(Some(col), idx);
+    Ok(acc.value())
+}
+
+/// A running aggregate, folded in ascending row order: the generic path of
+/// [`aggregate_over`] folds one group's rows onto a fresh one, and
+/// incremental view maintenance (`crate::ivm`) keeps one per group and
+/// aggregate, folding each append's rows onto it — so a maintained float
+/// `sum` adds the same f64s in the same order as one fold over the whole
+/// appended table.
+#[derive(Debug, Clone)]
+pub(crate) enum Acc {
+    /// `count`: non-null rows (every row for `count(*)`).
+    Count(i64),
+    /// `sum`/`avg`: the total of `n` non-null rows, and whether every one
+    /// was an Int (a `sum` then stays Int).
+    Sum {
+        total: f64,
+        n: i64,
+        all_int: bool,
+        avg: bool,
+    },
+    /// `min`: the first minimal value so far.
+    Min(Option<Value>),
+    /// `max`: the last maximal value so far.
+    Max(Option<Value>),
+}
+
+impl Acc {
+    /// A fresh accumulator for aggregate `lname` (lowercased `name`).
+    pub(crate) fn new(lname: &str, name: &str) -> Result<Acc, EngineError> {
+        Ok(match lname {
+            "count" => Acc::Count(0),
+            "sum" | "avg" => Acc::Sum {
+                total: 0.0,
+                n: 0,
+                all_int: true,
+                avg: lname == "avg",
+            },
+            "min" => Acc::Min(None),
+            "max" => Acc::Max(None),
+            _ => return Err(EngineError::BadFunction(name.to_string())),
+        })
+    }
+
+    /// Fold rows `idx` (ascending) of `col` onto the running value. `None`
+    /// stands for `count(*)`'s argument: every row counts.
+    pub(crate) fn fold(&mut self, col: Option<&ColumnData>, idx: &[u32]) {
+        let Some(col) = col else {
+            if let Acc::Count(n) = self {
+                *n += idx.len() as i64;
+            }
+            return;
+        };
+        let want_min = matches!(self, Acc::Min(_));
+        match self {
+            Acc::Count(n) => *n += idx.iter().filter(|&&i| !col.is_null(i as usize)).count() as i64,
+            Acc::Sum {
+                total, n, all_int, ..
+            } => {
+                let int_col = matches!(col, ColumnData::Int64 { .. });
+                for &i in idx {
+                    let i = i as usize;
+                    if col.is_null(i) {
+                        continue;
+                    }
+                    *n += 1;
+                    if let Some(f) = col.numeric(i) {
+                        *total += f;
+                    }
+                    *all_int &= int_col
+                        || matches!(col, ColumnData::Mixed(vals) if matches!(vals[i], Value::Int(_)));
                 }
-                best = Some(match best {
-                    None => i,
-                    Some(b) => {
-                        let ord = col.cmp_at(i as usize, col, b as usize);
-                        let replace = if want_min {
-                            ord == Ordering::Less
-                        } else {
-                            ord != Ordering::Less
-                        };
-                        if replace {
-                            i
-                        } else {
+            }
+            Acc::Min(best) | Acc::Max(best) => {
+                // This batch's first minimal / last maximal row, then the
+                // same tie rule against the value carried in.
+                let mut pick: Option<u32> = None;
+                for &i in idx {
+                    if col.is_null(i as usize) {
+                        continue;
+                    }
+                    pick = Some(match pick {
+                        Some(b) if !replaces(col.cmp_at(i as usize, col, b as usize), want_min) => {
                             b
                         }
+                        _ => i,
+                    });
+                }
+                if let Some(i) = pick {
+                    let v = col.value(i as usize);
+                    if best.as_ref().is_none_or(|b| replaces(v.cmp(b), want_min)) {
+                        *best = Some(v);
                     }
-                });
-            }
-            Ok(best.map(|i| col.value(i as usize)).unwrap_or(Value::Null))
-        }
-        "sum" | "avg" => {
-            let mut count = 0usize;
-            let mut total = 0.0f64;
-            let all_int_col = matches!(col, ColumnData::Int64 { .. });
-            let mut all_int = true;
-            for &i in idx {
-                let i = i as usize;
-                if col.is_null(i) {
-                    continue;
                 }
-                count += 1;
-                if let Some(f) = col.numeric(i) {
-                    total += f;
-                }
-                if !all_int_col {
-                    all_int &=
-                        matches!(col, ColumnData::Mixed(vals) if matches!(vals[i], Value::Int(_)));
-                }
-            }
-            if count == 0 {
-                return Ok(Value::Null);
-            }
-            if lname == "avg" {
-                Ok(Value::Float(total / count as f64))
-            } else if all_int_col || all_int {
-                Ok(Value::Int(total as i64))
-            } else {
-                Ok(Value::Float(total))
             }
         }
-        _ => Err(EngineError::BadFunction(name.to_string())),
+    }
+
+    /// The aggregate's value over every row folded so far.
+    pub(crate) fn value(&self) -> Value {
+        match self {
+            Acc::Count(n) => Value::Int(*n),
+            Acc::Sum { n: 0, .. } => Value::Null,
+            Acc::Sum {
+                total,
+                n,
+                avg: true,
+                ..
+            } => Value::Float(*total / *n as f64),
+            Acc::Sum {
+                total,
+                all_int: true,
+                ..
+            } => Value::Int(*total as i64),
+            Acc::Sum { total, .. } => Value::Float(*total),
+            Acc::Min(v) | Acc::Max(v) => v.clone().unwrap_or(Value::Null),
+        }
+    }
+}
+
+/// Whether a candidate ordered `ord` against the current best replaces it:
+/// `min` keeps the first minimal value, `max` takes the last maximal one
+/// (the row interpreter's `Iterator::min`/`max` ties).
+fn replaces(ord: Ordering, want_min: bool) -> bool {
+    if want_min {
+        ord == Ordering::Less
+    } else {
+        ord != Ordering::Less
     }
 }
 

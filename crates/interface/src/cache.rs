@@ -64,8 +64,6 @@ pub struct CacheStats {
 /// `/metrics`. All relaxed-atomic; monotone over the process lifetime.
 #[derive(Debug, Default)]
 pub struct LiveCounters {
-    append_rows: AtomicU64,
-    epoch_bumps: AtomicU64,
     ivm_hits: AtomicU64,
     ivm_fallbacks: AtomicU64,
     invalidated_views: AtomicU64,
@@ -74,10 +72,6 @@ pub struct LiveCounters {
 /// A point-in-time snapshot of [`LiveCounters`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LiveStats {
-    /// Rows appended through the live subsystem.
-    pub append_rows: u64,
-    /// Catalogue epoch bumps (one per successful append).
-    pub epoch_bumps: u64,
     /// Result lookups served incrementally (state absorbed a delta, or was
     /// built fresh and will absorb the next one).
     pub ivm_hits: u64,
@@ -285,15 +279,6 @@ impl EvalCache {
         Some(table)
     }
 
-    /// Record a successful append (rows added + one epoch bump) in the
-    /// live counters.
-    pub fn note_append(&self, rows: usize) {
-        self.live
-            .append_rows
-            .fetch_add(rows as u64, Ordering::Relaxed);
-        self.live.epoch_bumps.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// The epoch-tagged eviction sweep: drop every memo entry keyed to a
     /// retired catalogue fingerprint (two appends old — see
     /// `pi2_data::live`), including the analysis memo in `pi2-engine`.
@@ -319,8 +304,6 @@ impl EvalCache {
     /// A snapshot of the live-data counters.
     pub fn live_stats(&self) -> LiveStats {
         LiveStats {
-            append_rows: self.live.append_rows.load(Ordering::Relaxed),
-            epoch_bumps: self.live.epoch_bumps.load(Ordering::Relaxed),
             ivm_hits: self.live.ivm_hits.load(Ordering::Relaxed),
             ivm_fallbacks: self.live.ivm_fallbacks.load(Ordering::Relaxed),
             invalidated_views: self.live.invalidated_views.load(Ordering::Relaxed),
@@ -571,16 +554,6 @@ mod tests {
         // Sweeping an unknown fingerprint is a no-op.
         cache.evict_catalog(0xdead_beef);
         assert_eq!(cache.live_stats().invalidated_views, 1);
-    }
-
-    #[test]
-    fn note_append_feeds_the_counters() {
-        let cache = EvalCache::default();
-        cache.note_append(5);
-        cache.note_append(2);
-        let s = cache.live_stats();
-        assert_eq!(s.append_rows, 7);
-        assert_eq!(s.epoch_bumps, 2);
     }
 
     #[test]
